@@ -2,9 +2,14 @@
 //!
 //! A zero-dependency HTTP front door that scales `olive-serve` horizontally:
 //! N worker processes behind one address, with each request consistent-hashed
-//! to the worker whose cache already holds its model. Everything is `std` —
-//! the same `TcpListener` loop, HTTP/1.1 layer and client the serving crate
-//! uses — so the whole scale-out story adds no dependency.
+//! to the worker whose cache already holds its model. Everything is `std`,
+//! and the router runs on the same daemon skeleton as the workers
+//! (`olive_serve::daemon`: accept and keep-alive loop, trace scope,
+//! `/metrics`, `/debug/trace`, `/shutdown`, 405/404), with the serving
+//! crate's HTTP/1.1 layer and client — so the whole scale-out story adds no
+//! dependency and no second connection loop. [`server`] holds only what is
+//! the router's own: the ring, retry and fail-over, `/healthz` aggregation
+//! and the probe thread.
 //!
 //! ## Topology
 //!

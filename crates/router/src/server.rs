@@ -1,31 +1,38 @@
-//! The router daemon: accept loop, request proxying, retry and health state.
+//! The router daemon: consistent-hash routing, request proxying with retry
+//! and fail-over, and worker health state, on the `olive_serve::daemon`
+//! skeleton that also runs the workers.
 //!
-//! One thread per client connection (mirroring `olive_serve::server`), plus
-//! a background probe thread that re-checks unhealthy workers. All shared
-//! state is atomics — the request path takes no locks, so a slow worker can
-//! never stall an unrelated request through the router itself.
+//! The skeleton owns the connections; the router adds a background probe
+//! thread that re-checks unhealthy workers. All shared state is atomics —
+//! the request path takes no locks, so a slow worker can never stall an
+//! unrelated request through the router itself.
 
 use crate::ring::Ring;
 use olive_api::JsonValue;
 use olive_runtime::lock_or_recover;
 use olive_serve::client::{Connection, HttpResponse, Timeouts};
+use olive_serve::daemon::{AfterResponse, Core, Daemon, Endpoint, Exchange, Profile, Service};
 use olive_serve::http::{
-    read_request, write_chunk, write_chunked_head_with, write_last_chunk, ReadOutcome, Request,
-    Response, IDLE_TIMEOUT,
+    write_chunk, write_chunked_head_with, write_last_chunk, Request, Response,
 };
 use olive_serve::{EvalRequest, GenerateRequest, QuantizeRequest, TRACE_HEADER};
-use olive_telemetry::{latency_buckets_us, Counter, Gauge, Registry, Span, Stopwatch, Telemetry};
+use olive_telemetry::{Counter, Gauge, Registry};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// How long a kept-alive client connection may sit idle before the router
-/// closes it, in units of [`IDLE_TIMEOUT`] polling ticks (20 × 500 ms = 10 s)
-/// — the same policy the workers apply to their own connections.
-const MAX_IDLE_TICKS: u32 = 20;
+/// The router's skeleton names: `olive-router-*` threads, `olive_router_*`
+/// metrics.
+static PROFILE: Profile = Profile {
+    name: "olive-router",
+    metric_prefix: "olive_router_",
+    requests_help: "Requests handled at the front door, by endpoint and status class.",
+    duration_help: "Wall-clock request service time at the router, in microseconds.",
+    connections_help: "Client TCP connections accepted since startup.",
+};
 
 /// Timeout for health probes and `/healthz` aggregation fetches: these hit
 /// an endpoint that never computes anything, so a worker that cannot answer
@@ -182,7 +189,6 @@ struct RouterCounters {
     retried: Counter,
     failed_over: Counter,
     rejected: Counter,
-    connections: Counter,
 }
 
 impl RouterCounters {
@@ -204,51 +210,47 @@ impl RouterCounters {
                 "olive_router_requests_rejected_total",
                 "Requests shed with 503 after every candidate was exhausted.",
             ),
-            connections: registry.counter(
-                "olive_router_connections_accepted_total",
-                "Client TCP connections accepted since startup.",
-            ),
         }
     }
 }
 
 struct RouterState {
+    core: Core,
     config: RouterConfig,
     ring: Ring,
     workers: Vec<WorkerSlot>,
     counters: RouterCounters,
-    telemetry: Telemetry,
-    shutdown: AtomicBool,
-    local_addr: SocketAddr,
+    probe_handle: Mutex<Option<JoinHandle<()>>>,
 }
 
-impl RouterState {
-    /// One per-request observation, mirroring the workers' scheme: a
-    /// labelled count by endpoint and status class, and (timing on) the
-    /// wall-clock service latency.
-    fn record_request(&self, endpoint: &str, status: u16, served: &Stopwatch) {
-        let class = match status {
-            200..=299 => "2xx",
-            300..=399 => "3xx",
-            400..=499 => "4xx",
-            _ => "5xx",
+impl Service for RouterState {
+    fn core(&self) -> &Core {
+        &self.core
+    }
+
+    fn serve(&self, endpoint: Endpoint, exchange: &mut Exchange<'_>) -> AfterResponse {
+        let request = exchange.request;
+        let key = match endpoint {
+            Endpoint::Healthz => return exchange.respond(Response::json(200, healthz_body(self))),
+            // The registry is static and identical on every worker; route it
+            // like any other key so the load spreads deterministically.
+            Endpoint::Schemes => Ok("schemes".to_string()),
+            Endpoint::Eval | Endpoint::Generate | Endpoint::Quantize => routing_key(request),
         };
-        let registry = self.telemetry.registry();
-        registry
-            .counter_with(
-                "olive_router_http_requests_total",
-                "Requests handled at the front door, by endpoint and status class.",
-                &[("endpoint", endpoint), ("status", class)],
-            )
-            .inc();
-        registry
-            .histogram_with(
-                "olive_router_http_request_duration_us",
-                "Wall-clock request service time at the router, in microseconds.",
-                &latency_buckets_us(),
-                &[("endpoint", endpoint)],
-            )
-            .observe_elapsed(served);
+        match key.and_then(|key| forwarded_body(request).map(|body| (key, body))) {
+            Ok((key, body)) if endpoint == Endpoint::Generate => {
+                let keep_alive = exchange.keep_alive();
+                proxy(self, &key, exchange, |worker, exchange| {
+                    attempt_stream(self, worker, body, exchange, keep_alive)
+                })
+            }
+            Ok((key, body)) => proxy(self, &key, exchange, |worker, exchange| {
+                let trace_headers = exchange.scope.header_refs();
+                attempt_unary(self, worker, request, body, &trace_headers)
+                    .map_or(Attempt::NotStarted, Attempt::Answered)
+            }),
+            Err(response) => exchange.respond(response),
+        }
     }
 
     /// Mirrors each worker's health bit onto its gauge.
@@ -259,79 +261,10 @@ impl RouterState {
                 .set(u64::from(worker.healthy.load(Ordering::SeqCst)));
         }
     }
-}
 
-/// The label value for the `endpoint` dimension: known paths verbatim,
-/// everything else collapsed to `other` so scans cannot explode metric
-/// cardinality.
-fn endpoint_label(path: &str) -> &'static str {
-    match path {
-        "/healthz" => "/healthz",
-        "/metrics" => "/metrics",
-        "/debug/trace" => "/debug/trace",
-        "/v1/schemes" => "/v1/schemes",
-        "/v1/eval" => "/v1/eval",
-        "/v1/generate" => "/v1/generate",
-        "/v1/quantize" => "/v1/quantize",
-        "/shutdown" => "/shutdown",
-        _ => "other",
-    }
-}
-
-/// Everything observed about one in-flight request: the trace id the
-/// router stamps on worker requests and echoes to the client, the span it
-/// feeds, and the service stopwatch. Purely observational — dropping all of
-/// it changes no response byte.
-struct RequestScope {
-    endpoint: &'static str,
-    trace_id: Option<String>,
-    span: Option<Arc<Span>>,
-    served: Stopwatch,
-}
-
-impl RequestScope {
-    fn begin(state: &RouterState, request: &Request) -> RequestScope {
-        let tracer = state.telemetry.tracer();
-        let trace_id = match request.header(TRACE_HEADER) {
-            Some(id) => Some(id.to_string()),
-            None => tracer.enabled().then(|| tracer.new_trace_id()),
-        };
-        let endpoint = endpoint_label(&request.path);
-        let span = trace_id.as_deref().and_then(|id| tracer.span(id, endpoint));
-        if let Some(span) = &span {
-            span.event("accepted");
-        }
-        RequestScope {
-            endpoint,
-            trace_id,
-            span,
-            served: state.telemetry.stopwatch(),
-        }
-    }
-
-    /// The `x-olive-trace` header pair(s) to stamp on worker requests and
-    /// client responses. Empty when tracing is off and the client sent none.
-    fn headers(&self) -> Vec<(String, String)> {
-        self.trace_id
-            .iter()
-            .map(|id| (TRACE_HEADER.to_string(), id.clone()))
-            .collect()
-    }
-
-    /// Borrowed form for the worker-side client API.
-    fn header_refs(&self) -> Vec<(&str, &str)> {
-        self.trace_id
-            .iter()
-            .map(|id| (TRACE_HEADER, id.as_str()))
-            .collect()
-    }
-
-    /// Records the final status and closes the span. Called exactly once
-    /// per request, after the response bytes are on the wire.
-    fn finish(&self, state: &RouterState, status: u16) {
-        state.record_request(self.endpoint, status, &self.served);
-        if let Some(span) = &self.span {
-            span.finish();
+    fn stop(&self) {
+        if let Some(handle) = lock_or_recover(&self.probe_handle).take() {
+            let _ = handle.join();
         }
     }
 }
@@ -340,9 +273,7 @@ impl RequestScope {
 /// [`Router::shutdown`] leaves the accept thread running for the life of the
 /// process.
 pub struct Router {
-    state: Arc<RouterState>,
-    accept_handle: Mutex<Option<JoinHandle<()>>>,
-    probe_handle: Mutex<Option<JoinHandle<()>>>,
+    daemon: Daemon<RouterState>,
 }
 
 impl Router {
@@ -356,73 +287,61 @@ impl Router {
     /// Propagates bind failures, unresolvable worker addresses and
     /// trace-log open failures.
     pub fn start(config: RouterConfig) -> io::Result<Router> {
-        let telemetry = Telemetry::new(&config.telemetry)?;
-        let listener = TcpListener::bind(&config.addr)?;
-        let local_addr = listener.local_addr()?;
+        let (core, listener) = Core::bind(
+            &PROFILE,
+            &config.addr,
+            &config.telemetry,
+            config.allow_shutdown,
+        )?;
+        let registry = core.telemetry().registry();
         let mut workers = Vec::with_capacity(config.workers.len());
         for addr in &config.workers {
-            workers.push(WorkerSlot::new(
-                addr.clone(),
-                resolve_worker(addr)?,
-                telemetry.registry(),
-            ));
+            let sock = resolve_worker(addr)?;
+            workers.push(WorkerSlot::new(addr.clone(), sock, registry));
         }
-        let state = Arc::new(RouterState {
+        let state = RouterState {
             ring: Ring::new(&config.workers),
             workers,
-            counters: RouterCounters::new(telemetry.registry()),
-            telemetry,
-            shutdown: AtomicBool::new(false),
-            local_addr,
+            counters: RouterCounters::new(registry),
+            probe_handle: Mutex::new(None),
             config,
-        });
-        let accept_state = Arc::clone(&state);
-        let accept_handle = std::thread::Builder::new()
-            .name("olive-router-accept".into())
-            .spawn(move || accept_loop(&listener, &accept_state))?;
-        let probe_state = Arc::clone(&state);
+            core,
+        };
+        let daemon = Daemon::start(listener, state)?;
+        let probe_state = Arc::clone(daemon.service());
         let probe_handle = std::thread::Builder::new()
             .name("olive-router-probe".into())
             .spawn(move || probe_loop(&probe_state))?;
-        Ok(Router {
-            state,
-            accept_handle: Mutex::new(Some(accept_handle)),
-            probe_handle: Mutex::new(Some(probe_handle)),
-        })
+        *lock_or_recover(&daemon.service().probe_handle) = Some(probe_handle);
+        Ok(Router { daemon })
     }
 
     /// The bound address (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.state.local_addr
+        self.daemon.core().local_addr()
     }
 
     /// `http://host:port` of the bound address.
     pub fn url(&self) -> String {
-        format!("http://{}", self.state.local_addr)
+        self.daemon.core().url()
     }
 
     /// True once shutdown has been requested (via [`Router::shutdown`] or
     /// `POST /shutdown`).
     pub fn shutdown_requested(&self) -> bool {
-        self.state.shutdown.load(Ordering::SeqCst)
+        self.daemon.core().shutdown_requested()
     }
 
     /// Blocks until shutdown is requested, then joins the background
     /// threads. The daemon binary's main loop.
     pub fn wait(&self) {
-        if let Some(handle) = lock_or_recover(&self.accept_handle).take() {
-            let _ = handle.join();
-        }
-        if let Some(handle) = lock_or_recover(&self.probe_handle).take() {
-            let _ = handle.join();
-        }
+        self.daemon.wait();
     }
 
     /// Requests shutdown and waits for it to complete. Idempotent. Workers
     /// keep running: the router owns only its own process.
     pub fn shutdown(&self) {
-        request_shutdown(&self.state);
-        self.wait();
+        self.daemon.shutdown();
     }
 }
 
@@ -439,30 +358,6 @@ fn resolve_worker(addr: &str) -> io::Result<SocketAddr> {
     })
 }
 
-/// Flags shutdown and pokes the listener so the accept loop observes it.
-fn request_shutdown(state: &RouterState) {
-    if state.shutdown.swap(true, Ordering::SeqCst) {
-        return;
-    }
-    let _ = TcpStream::connect(state.local_addr);
-}
-
-fn accept_loop(listener: &TcpListener, state: &Arc<RouterState>) {
-    for stream in listener.incoming() {
-        if state.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let Ok(stream) = stream else { continue };
-        state.counters.connections.inc();
-        let state = Arc::clone(state);
-        // Connection threads are detached: they exit on their own via
-        // keep-alive idle polling once shutdown is flagged.
-        let _ = std::thread::Builder::new()
-            .name("olive-router-conn".into())
-            .spawn(move || handle_connection(stream, &state));
-    }
-}
-
 /// Re-checks unhealthy workers every `probe_interval`, marking them healthy
 /// again as soon as their `/healthz` answers. Sleeps in short ticks so
 /// shutdown is observed promptly.
@@ -470,7 +365,7 @@ fn probe_loop(state: &RouterState) {
     let tick =
         Duration::from_millis(50).min(state.config.probe_interval.max(Duration::from_millis(1)));
     let mut slept = Duration::ZERO;
-    while !state.shutdown.load(Ordering::SeqCst) {
+    while !state.core.shutdown_requested() {
         std::thread::sleep(tick);
         slept += tick;
         if slept < state.config.probe_interval {
@@ -499,205 +394,6 @@ fn record_failure(worker: &WorkerSlot, unhealthy_after: u32) {
     let failures = worker.consecutive_failures.fetch_add(1, Ordering::SeqCst) + 1;
     if failures >= unhealthy_after && worker.healthy.swap(false, Ordering::SeqCst) {
         worker.became_unhealthy.inc();
-    }
-}
-
-fn handle_connection(stream: TcpStream, state: &RouterState) {
-    if stream.set_read_timeout(Some(IDLE_TIMEOUT)).is_err() || stream.set_nodelay(true).is_err() {
-        return;
-    }
-    let mut reader = std::io::BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
-    let mut writer = stream;
-    let mut idle_ticks = 0u32;
-    loop {
-        match read_request(&mut reader) {
-            ReadOutcome::Disconnected => return,
-            ReadOutcome::Idle => {
-                idle_ticks += 1;
-                if idle_ticks >= MAX_IDLE_TICKS || state.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            ReadOutcome::Bad(error) => {
-                let _ = Response::error(error.status, &error.message).write_to(&mut writer, false);
-                return;
-            }
-            ReadOutcome::Request(request) => {
-                idle_ticks = 0;
-                let scope = RequestScope::begin(state, &request);
-                match handle_request(&request, state, &scope, &mut writer) {
-                    AfterResponse::KeepAlive => {}
-                    AfterResponse::Close => return,
-                }
-            }
-        }
-    }
-}
-
-/// Whether the connection survives the response just written.
-enum AfterResponse {
-    KeepAlive,
-    Close,
-}
-
-fn handle_request(
-    request: &Request,
-    state: &RouterState,
-    scope: &RequestScope,
-    writer: &mut TcpStream,
-) -> AfterResponse {
-    match (request.method.as_str(), request.path.as_str()) {
-        ("GET", "/healthz") => write_unary(
-            Response::json(200, healthz_body(state)),
-            request,
-            state,
-            scope,
-            writer,
-            false,
-        ),
-        ("GET", "/metrics") => {
-            state.refresh_gauges();
-            write_unary(
-                Response::text(200, state.telemetry.registry().render()),
-                request,
-                state,
-                scope,
-                writer,
-                false,
-            )
-        }
-        ("GET", "/debug/trace") => {
-            let n = request
-                .query_param("n")
-                .and_then(|v| v.parse::<usize>().ok())
-                .unwrap_or(32);
-            let traces: Vec<String> = state
-                .telemetry
-                .tracer()
-                .recent(n)
-                .iter()
-                .map(olive_telemetry::TraceRecord::to_json)
-                .collect();
-            write_unary(
-                Response::json(200, format!("{{\"traces\": [{}]}}", traces.join(", "))),
-                request,
-                state,
-                scope,
-                writer,
-                false,
-            )
-        }
-        // The registry is static and identical on every worker; route it
-        // like any other key so the load spreads deterministically.
-        ("GET", "/v1/schemes") => proxy_unary(request, "schemes", state, scope, writer),
-        ("POST", "/v1/eval" | "/v1/quantize") => match routing_key(request) {
-            Ok(key) => proxy_unary(request, &key, state, scope, writer),
-            Err(response) => write_unary(response, request, state, scope, writer, false),
-        },
-        ("POST", "/v1/generate") => match routing_key(request) {
-            Ok(key) => proxy_stream(request, &key, state, scope, writer),
-            Err(response) => write_unary(response, request, state, scope, writer, false),
-        },
-        ("POST", "/shutdown") => {
-            if state.config.allow_shutdown {
-                write_unary(
-                    Response::json(
-                        200,
-                        JsonValue::object(vec![("status", JsonValue::Str("shutting down".into()))])
-                            .render(),
-                    ),
-                    request,
-                    state,
-                    scope,
-                    writer,
-                    true,
-                )
-            } else {
-                write_unary(
-                    Response::error(
-                        403,
-                        "shutdown over HTTP is disabled (start with --allow-shutdown)",
-                    ),
-                    request,
-                    state,
-                    scope,
-                    writer,
-                    false,
-                )
-            }
-        }
-        // Known path, wrong method — same parity answers as the workers.
-        (_, "/healthz" | "/metrics" | "/debug/trace" | "/v1/schemes") => write_unary(
-            Response::error(405, "use GET").with_header("Allow", "GET"),
-            request,
-            state,
-            scope,
-            writer,
-            false,
-        ),
-        (_, "/v1/eval" | "/v1/generate" | "/v1/quantize" | "/shutdown") => write_unary(
-            Response::error(405, "use POST").with_header("Allow", "POST"),
-            request,
-            state,
-            scope,
-            writer,
-            false,
-        ),
-        (_, path) => write_unary(
-            Response::error(
-                404,
-                &format!(
-                    "no such endpoint '{path}' (have: GET /healthz, GET /metrics, \
-                     GET /v1/schemes, POST /v1/eval, POST /v1/generate, POST /v1/quantize)"
-                ),
-            ),
-            request,
-            state,
-            scope,
-            writer,
-            false,
-        ),
-    }
-}
-
-/// Writes a router-composed (non-streamed) response, honouring keep-alive
-/// and triggering router shutdown after the bytes are on the wire. Stamps
-/// the trace header (unless an upstream relay already carries it) and
-/// closes out the request's observations.
-fn write_unary(
-    mut response: Response,
-    request: &Request,
-    state: &RouterState,
-    scope: &RequestScope,
-    writer: &mut TcpStream,
-    shutdown: bool,
-) -> AfterResponse {
-    for (name, value) in scope.headers() {
-        if !response
-            .extra_headers
-            .iter()
-            .any(|(existing, _)| existing.eq_ignore_ascii_case(&name))
-        {
-            response = response.with_header(&name, &value);
-        }
-    }
-    let status = response.status;
-    let keep_alive = request.keep_alive() && !shutdown && !state.shutdown.load(Ordering::SeqCst);
-    // Telemetry commits before the reply is on the wire: a client that saw
-    // a complete response must also see it counted in /metrics and traced
-    // in /debug/trace.
-    scope.finish(state, status);
-    let write_result = response.write_to(writer, keep_alive);
-    if shutdown {
-        request_shutdown(state);
-    }
-    if write_result.is_ok() && keep_alive {
-        AfterResponse::KeepAlive
-    } else {
-        AfterResponse::Close
     }
 }
 
@@ -822,113 +518,99 @@ fn attempt_unary(
     conn.request_with_headers(&request.method, &request.path, body, trace_headers)
 }
 
-/// Proxies a unary request along the candidate plan. Responses are relayed
-/// byte-for-byte — because every worker computes identical bytes for the
-/// same request (the serving determinism contract), failing over can never
-/// change the answer, only whether one arrives.
-fn proxy_unary(
-    request: &Request,
-    key: &str,
+/// The body forwarded to the worker: `None` when empty.
+fn forwarded_body(request: &Request) -> Result<Option<&str>, Response> {
+    match request.body_utf8() {
+        Ok(text) => Ok(Some(text).filter(|text| !text.is_empty())),
+        Err(e) => Err(Response::error(e.status, &e.message)),
+    }
+}
+
+/// The outcome of one attempt against one worker.
+enum Attempt {
+    /// The worker answered a complete (non-chunked) response — a unary
+    /// reply, or an error instead of a stream — and nothing has reached the
+    /// client yet.
+    Answered(HttpResponse),
+    /// The attempt failed before any byte reached the client: safe to fail
+    /// over to the next candidate.
+    NotStarted,
+    /// A stream went out to the client and its telemetry is committed;
+    /// nothing is left to do but keep or close the connection.
+    Relayed(AfterResponse),
+}
+
+/// Proxies a request along the candidate plan, one `attempt` per worker.
+/// Responses are relayed byte-for-byte — because every worker computes
+/// identical bytes for the same request (the serving determinism contract),
+/// failing over can never change the answer, only whether one arrives.
+fn proxy(
     state: &RouterState,
-    scope: &RequestScope,
-    writer: &mut TcpStream,
+    key: &str,
+    exchange: &mut Exchange<'_>,
+    mut attempt: impl FnMut(&WorkerSlot, &mut Exchange<'_>) -> Attempt,
 ) -> AfterResponse {
-    let body = match request.body_utf8() {
-        Ok(text) if !text.is_empty() => Some(text),
-        Ok(_) => None,
-        Err(e) => {
-            return write_unary(
-                Response::error(e.status, &e.message),
-                request,
-                state,
-                scope,
-                writer,
-                false,
-            )
-        }
-    };
-    let trace_headers = scope.header_refs();
     let planned = plan(state, key);
     let total = planned.len();
-    for (attempt, &index) in planned.iter().enumerate() {
+    for (n, &index) in planned.iter().enumerate() {
         let Some(worker) = state.workers.get(index) else {
             continue;
         };
-        match attempt_unary(state, worker, request, body, &trace_headers) {
-            Ok(response) => {
+        match attempt(worker, exchange) {
+            Attempt::Answered(response) => {
                 record_success(worker);
-                if response.status == 503 && attempt + 1 < total {
+                if response.status == 503 && n + 1 < total {
                     // Still backed up after the same-worker retry: any other
                     // worker produces identical bytes, so fail over.
                     count_failover(state, worker);
                     continue;
                 }
                 count_served(state, worker);
-                return write_unary(relay(&response), request, state, scope, writer, false);
+                return exchange.respond(relay(&response));
             }
-            Err(_) => {
+            Attempt::NotStarted => {
                 record_failure(worker, state.config.unhealthy_after);
-                if attempt + 1 < total {
+                if n + 1 < total {
                     count_failover(state, worker);
                 }
             }
+            Attempt::Relayed(after) => return after,
         }
     }
     count_shed(state, &planned);
-    write_unary(
+    exchange.respond(
         Response::error(503, "no worker available for this request")
             .with_header("Retry-After", "1"),
-        request,
-        state,
-        scope,
-        writer,
-        false,
     )
-}
-
-/// The outcome of one streaming attempt against one worker.
-enum StreamAttempt {
-    /// The full stream was relayed; `reusable` says whether the client
-    /// connection's framing survived (the terminating chunk was written).
-    Streamed { reusable: bool },
-    /// The worker answered a plain (non-chunked) response — an error —
-    /// before any byte reached the client.
-    Unary(HttpResponse),
-    /// The attempt failed before any byte reached the client: safe to fail
-    /// over to the next candidate.
-    NotStarted(#[allow(dead_code)] io::Error),
-    /// The attempt failed after the chunked head was written. The relay is
-    /// truncated without the terminating chunk — the client sees a hard
-    /// framing error, never a complete-looking answer — and the connection
-    /// closes. `worker_fault` distinguishes a worker dying mid-stream from
-    /// the client going away.
-    Broken { worker_fault: bool },
 }
 
 /// One streaming attempt: the worker's chunks are relayed to the client the
 /// moment each is decoded (chunk boundaries preserved), so a routed stream
 /// is byte- and framing-identical to hitting the worker directly. Includes
 /// the same single same-worker 503 retry as the unary path — nothing has
-/// been written to the client at that point.
+/// been written to the client at that point. Once the chunked head is out,
+/// a failure truncates the relay without the terminating chunk — the client
+/// sees a hard framing error, never a complete-looking answer — exactly as
+/// a worker death would on a direct connection.
 fn attempt_stream(
     state: &RouterState,
     worker: &WorkerSlot,
-    request: &Request,
     body: Option<&str>,
-    scope: &RequestScope,
-    writer: &mut TcpStream,
+    exchange: &mut Exchange<'_>,
     keep_alive: bool,
-) -> StreamAttempt {
-    let mut conn = match Connection::open_with(worker.sock, state.config.timeouts) {
-        Ok(conn) => conn,
-        Err(e) => return StreamAttempt::NotStarted(e),
+) -> Attempt {
+    let Ok(mut conn) = Connection::open_with(worker.sock, state.config.timeouts) else {
+        return Attempt::NotStarted;
     };
-    let trace_headers = scope.header_refs();
-    let echo_headers = scope.headers();
+    let request = exchange.request;
+    let trace_headers = exchange.scope.header_refs();
+    let echo_headers = exchange.scope.headers();
     let mut retried_503 = false;
     loop {
         let mut started = false;
         let mut sink_error = false;
+        let writer = &mut *exchange.writer;
+        let span = exchange.scope.span();
         let result = conn.request_with_sink_and_headers(
             &request.method,
             &request.path,
@@ -939,7 +621,7 @@ fn attempt_stream(
                 } else {
                     write_chunked_head_with(writer, 200, keep_alive, &echo_headers).and_then(|()| {
                         started = true;
-                        if let Some(span) = &scope.span {
+                        if let Some(span) = span {
                             span.event("first-byte");
                         }
                         write_chunk(writer, chunk)
@@ -959,17 +641,15 @@ fn attempt_stream(
                 // /metrics and traced in /debug/trace.
                 record_success(worker);
                 count_served(state, worker);
-                scope.finish(state, 200);
+                exchange.finish(200);
                 let finished = if started {
-                    write_last_chunk(writer)
+                    write_last_chunk(exchange.writer)
                 } else {
                     // A complete but empty stream still frames as chunked.
-                    write_chunked_head_with(writer, 200, keep_alive, &echo_headers)
-                        .and_then(|()| write_last_chunk(writer))
+                    write_chunked_head_with(exchange.writer, 200, keep_alive, &echo_headers)
+                        .and_then(|()| write_last_chunk(exchange.writer))
                 };
-                StreamAttempt::Streamed {
-                    reusable: finished.is_ok(),
-                }
+                Attempt::Relayed(AfterResponse::keep_alive_if(finished.is_ok() && keep_alive))
             }
             Ok(response) => {
                 if response.status == 503 && !retried_503 {
@@ -978,93 +658,20 @@ fn attempt_stream(
                     std::thread::sleep(retry_delay(&response, state.config.retry_after_cap));
                     continue;
                 }
-                StreamAttempt::Unary(response)
+                Attempt::Answered(response)
             }
-            Err(_) if sink_error => StreamAttempt::Broken {
-                worker_fault: false,
-            },
-            Err(_) if started => StreamAttempt::Broken { worker_fault: true },
-            Err(e) => StreamAttempt::NotStarted(e),
-        };
-    }
-}
-
-/// Proxies `/v1/generate` along the candidate plan, streaming chunk-by-chunk.
-/// Fail-over happens only while nothing has reached the client; once the
-/// chunked head is out, a failure truncates the stream exactly as a worker
-/// death would on a direct connection.
-fn proxy_stream(
-    request: &Request,
-    key: &str,
-    state: &RouterState,
-    scope: &RequestScope,
-    writer: &mut TcpStream,
-) -> AfterResponse {
-    let body = match request.body_utf8() {
-        Ok(text) if !text.is_empty() => Some(text),
-        Ok(_) => None,
-        Err(e) => {
-            return write_unary(
-                Response::error(e.status, &e.message),
-                request,
-                state,
-                scope,
-                writer,
-                false,
-            )
-        }
-    };
-    let keep_alive = request.keep_alive() && !state.shutdown.load(Ordering::SeqCst);
-    let planned = plan(state, key);
-    let total = planned.len();
-    for (attempt, &index) in planned.iter().enumerate() {
-        let Some(worker) = state.workers.get(index) else {
-            continue;
-        };
-        match attempt_stream(state, worker, request, body, scope, writer, keep_alive) {
-            StreamAttempt::Streamed { reusable } => {
-                // Success bookkeeping and scope.finish already ran inside
-                // attempt_stream, before the terminating chunk went out.
-                return if reusable && keep_alive {
-                    AfterResponse::KeepAlive
-                } else {
-                    AfterResponse::Close
-                };
-            }
-            StreamAttempt::Unary(response) => {
-                record_success(worker);
-                if response.status == 503 && attempt + 1 < total {
-                    count_failover(state, worker);
-                    continue;
-                }
-                count_served(state, worker);
-                return write_unary(relay(&response), request, state, scope, writer, false);
-            }
-            StreamAttempt::NotStarted(_) => {
-                record_failure(worker, state.config.unhealthy_after);
-                if attempt + 1 < total {
-                    count_failover(state, worker);
-                }
-            }
-            StreamAttempt::Broken { worker_fault } => {
-                if worker_fault {
+            Err(_) if !started && !sink_error => Attempt::NotStarted,
+            // Truncated mid-stream: the worker died, or the client went away
+            // (which is no fault of the worker's).
+            Err(_) => {
+                if !sink_error {
                     record_failure(worker, state.config.unhealthy_after);
                 }
-                scope.finish(state, 200);
-                return AfterResponse::Close;
+                exchange.finish(200);
+                Attempt::Relayed(AfterResponse::Close)
             }
-        }
+        };
     }
-    count_shed(state, &planned);
-    write_unary(
-        Response::error(503, "no worker available for this request")
-            .with_header("Retry-After", "1"),
-        request,
-        state,
-        scope,
-        writer,
-        false,
-    )
 }
 
 /// Fetches one worker's `/healthz` within [`PROBE_TIMEOUT`].
@@ -1141,7 +748,7 @@ fn healthz_body(state: &RouterState) -> String {
         ),
         (
             "connections_accepted",
-            JsonValue::UInt(state.counters.connections.get()),
+            JsonValue::UInt(state.core.connections_accepted()),
         ),
         ("upstream", upstream),
     ])
@@ -1153,25 +760,29 @@ mod tests {
     use super::*;
 
     fn state_with_workers(n: usize, max_attempts: u32) -> RouterState {
-        let telemetry = Telemetry::detached();
+        let (core, _listener) = Core::bind(
+            &PROFILE,
+            "127.0.0.1:0",
+            &olive_telemetry::TelemetryOptions::default(),
+            false,
+        )
+        .unwrap();
+        let registry = core.telemetry().registry();
         let addrs: Vec<String> = (0..n).map(|i| format!("127.0.0.1:{}", 9100 + i)).collect();
         RouterState {
             ring: Ring::new(&addrs),
             workers: addrs
                 .iter()
-                .map(|addr| {
-                    WorkerSlot::new(addr.clone(), addr.parse().unwrap(), telemetry.registry())
-                })
+                .map(|addr| WorkerSlot::new(addr.clone(), addr.parse().unwrap(), registry))
                 .collect(),
-            counters: RouterCounters::new(telemetry.registry()),
-            telemetry,
-            shutdown: AtomicBool::new(false),
-            local_addr: "127.0.0.1:1".parse().unwrap(),
+            counters: RouterCounters::new(registry),
+            probe_handle: Mutex::new(None),
             config: RouterConfig {
                 workers: addrs,
                 max_attempts,
                 ..RouterConfig::default()
             },
+            core,
         }
     }
 

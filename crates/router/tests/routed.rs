@@ -7,7 +7,7 @@ use olive_api::JsonValue;
 use olive_router::{Ring, Router, RouterConfig};
 use olive_serve::client;
 use olive_serve::{EvalRequest, ServeConfig, Server};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -24,6 +24,21 @@ fn start_workers(n: usize) -> (Vec<Server>, Vec<String>) {
         .collect();
     let addrs: Vec<String> = workers.iter().map(|w| w.local_addr().to_string()).collect();
     (workers, addrs)
+}
+
+/// Writes raw bytes and returns everything answered until the peer closes
+/// the connection (a read timeout fails the exchange instead).
+fn raw_exchange(addr: SocketAddr, raw: &str) -> String {
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream.write_all(raw.as_bytes()).expect("write");
+    let mut response = String::new();
+    stream
+        .read_to_string(&mut response)
+        .expect("the connection must close after the answer");
+    response
 }
 
 fn start_router(workers: Vec<String>) -> Router {
@@ -79,6 +94,36 @@ fn routed_bytes_match_a_single_worker_exactly() {
     let routed_400 = client::post_json(router.local_addr(), "/v1/eval", "{nope").unwrap();
     assert_eq!(routed_404.status, 404);
     assert_eq!(routed_400.status, 400);
+    // Status, full body and `Allow`, router against worker, byte for byte.
+    let worker = workers[0].local_addr();
+    type Call = fn(SocketAddr) -> std::io::Result<client::HttpResponse>;
+    let cases: [(&str, u16, Call); 5] = [
+        ("GET /nope", 404, |addr| client::get(addr, "/nope")),
+        ("POST /healthz", 405, |addr| {
+            client::post_json(addr, "/healthz", "{}")
+        }),
+        ("GET /v1/eval", 405, |addr| client::get(addr, "/v1/eval")),
+        ("POST /shutdown", 403, |addr| {
+            client::post_json(addr, "/shutdown", "")
+        }),
+        ("non-JSON /v1/eval", 400, |addr| {
+            client::post_json(addr, "/v1/eval", "not json")
+        }),
+    ];
+    for (what, status, call) in cases {
+        let routed = call(router.local_addr()).unwrap();
+        let direct = call(worker).unwrap();
+        assert_eq!(routed.status, status, "{what}: {}", routed.body);
+        assert_eq!(routed.status, direct.status, "{what}: status");
+        assert_eq!(routed.body, direct.body, "{what}: body");
+        assert_eq!(routed.header("allow"), direct.header("allow"), "{what}");
+    }
+    // A smuggling attempt is refused with 400 and the connection closed,
+    // identically by both daemons.
+    let smuggled = "POST /v1/eval HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\n{}";
+    let routed = raw_exchange(router.local_addr(), smuggled);
+    assert!(routed.starts_with("HTTP/1.1 400 "), "{routed}");
+    assert_eq!(routed, raw_exchange(worker, smuggled));
 
     // Repeating the same request is stable through the ring (affinity).
     let again = client::post_json(router.local_addr(), "/v1/eval", EVAL_BODY).unwrap();

@@ -139,6 +139,15 @@
 //! server.shutdown();
 //! ```
 //!
+//! ## One daemon skeleton
+//!
+//! [`daemon`] holds everything `olive-serve` and `olive-router` do the same
+//! way: accepting, the keep-alive connection loop, the per-request trace
+//! scope, the unary write path, `/metrics`, `/debug/trace`, `/shutdown` and
+//! the 405/404 answers. [`server`] adds only what is the worker's own:
+//! `/healthz`, `/v1/schemes`, batcher and scheduler submission, and relaying
+//! [`StreamEvent`]s as chunks.
+//!
 //! The `olive-serve` binary wraps [`Server`] as a daemon (`--port`,
 //! `--max-batch`, `--max-wait-ms`, `--queue-capacity`, `--allow-shutdown`),
 //! and `serve_client` is a std-only CLI client for smoke scripts; see the
@@ -151,6 +160,7 @@
 pub mod batch;
 pub mod cache;
 pub mod client;
+pub mod daemon;
 pub mod decode_sched;
 pub mod http;
 pub mod protocol;
@@ -158,8 +168,9 @@ pub mod server;
 
 pub use batch::{BatchConfig, Batcher, Job};
 pub use cache::ModelCache;
+pub use daemon::TRACE_HEADER;
 pub use decode_sched::{DecodeScheduler, SchedConfig, SchedStats, StreamEvent};
 pub use http::{Request, Response};
 pub use olive_telemetry::TelemetryOptions;
 pub use protocol::{EvalRequest, GenerateRequest, ModelSize, QuantizeRequest};
-pub use server::{ServeConfig, Server, TRACE_HEADER};
+pub use server::{ServeConfig, Server};

@@ -1,31 +1,29 @@
-//! The TCP accept loop, connection handling and endpoint routing.
+//! The worker daemon: the `olive-serve` endpoints on the shared
+//! [`daemon`](crate::daemon) skeleton — `/healthz`, `/v1/schemes`, unary
+//! jobs submitted to the batcher and `/v1/generate` streams relayed from the
+//! decode scheduler.
 
 use crate::batch::{BatchConfig, Batcher, Job};
 use crate::cache::ModelCache;
+use crate::daemon::{AfterResponse, Core, Daemon, Endpoint, Exchange, Profile, Service};
 use crate::decode_sched::{DecodeScheduler, SchedConfig, StreamEvent};
-use crate::http::{
-    read_request, write_chunk, write_chunked_head_with, write_last_chunk, ReadOutcome, Request,
-    Response, IDLE_TIMEOUT,
+use crate::http::{write_chunk, write_chunked_head_with, write_last_chunk, Request, Response};
+use crate::protocol::{
+    render_schemes_body, DecodeError, EvalRequest, GenerateRequest, QuantizeRequest,
 };
-use crate::protocol::{render_schemes_body, EvalRequest, GenerateRequest, QuantizeRequest};
 use olive_api::JsonValue;
-use olive_runtime::lock_or_recover;
-use olive_telemetry::{latency_buckets_us, Counter, Gauge, Span, Stopwatch, Telemetry};
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
+use olive_telemetry::Gauge;
+use std::net::SocketAddr;
+use std::sync::{mpsc, Arc};
 
-/// How long a kept-alive connection may sit idle before the server closes
-/// it, in units of [`IDLE_TIMEOUT`] polling ticks (20 × 500 ms = 10 s).
-const MAX_IDLE_TICKS: u32 = 20;
-
-/// The trace-correlation header: stamped by the router, generated by the
-/// worker when absent, echoed on every response. Headers are the only place
-/// a trace id appears — response *bodies* are byte-identical with tracing
-/// on or off.
-pub const TRACE_HEADER: &str = "x-olive-trace";
+/// The worker's skeleton names: `olive-serve-*` threads, `olive_*` metrics.
+static PROFILE: Profile = Profile {
+    name: "olive-serve",
+    metric_prefix: "olive_",
+    requests_help: "Requests served, by endpoint and status class.",
+    duration_help: "Wall-clock request service time (read to last byte written), in microseconds.",
+    connections_help: "TCP connections accepted since startup.",
+};
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -64,8 +62,8 @@ impl Default for ServeConfig {
 }
 
 /// Gauges that are meaningless between scrapes (they mirror live sizes, not
-/// monotone counts): refreshed under [`ServerState::refresh_gauges`] right
-/// before `/healthz` and `/metrics` render.
+/// monotone counts): refreshed right before `/healthz` and `/metrics`
+/// render.
 struct ScrapeGauges {
     queue_depth: Gauge,
     cached_models: Gauge,
@@ -75,34 +73,16 @@ struct ScrapeGauges {
 }
 
 struct ServerState {
-    config: ServeConfig,
+    core: Core,
     batcher: Batcher,
     scheduler: DecodeScheduler,
     cache: Arc<ModelCache>,
-    telemetry: Telemetry,
     /// Pre-rendered `/v1/schemes` body (the registry is static).
     schemes_body: String,
-    shutdown: AtomicBool,
-    connections: Counter,
     scrape: ScrapeGauges,
-    local_addr: SocketAddr,
 }
 
 impl ServerState {
-    /// Mirrors live sizes (queue depth, cache occupancy) onto their gauges.
-    fn refresh_gauges(&self) {
-        let (prepared, gen_prepared, responses) = self.cache.sizes();
-        self.scrape
-            .queue_depth
-            .set((self.batcher.queue_depth() + self.scheduler.queue_depth()) as u64);
-        self.scrape.cached_models.set(prepared as u64);
-        self.scrape.cached_generators.set(gen_prepared as u64);
-        self.scrape.cached_responses.set(responses as u64);
-        self.scrape
-            .cached_artifacts
-            .set(self.cache.artifacts_loaded());
-    }
-
     fn healthz_body(&self) -> String {
         self.refresh_gauges();
         let stats = self.batcher.stats();
@@ -135,7 +115,7 @@ impl ServerState {
             ),
             (
                 "connections_accepted",
-                JsonValue::UInt(self.connections.get()),
+                JsonValue::UInt(self.core.connections_accepted()),
             ),
             (
                 "cached_models",
@@ -161,50 +141,55 @@ impl ServerState {
         ])
         .render()
     }
-
-    /// One per-request observation: a labelled count by endpoint and status
-    /// class, and (timing on) the wall-clock service latency. Registration
-    /// is idempotent, so the hot path is a registry lookup + atomic bump.
-    fn record_request(&self, endpoint: &str, status: u16, served: &Stopwatch) {
-        let class = match status {
-            200..=299 => "2xx",
-            300..=399 => "3xx",
-            400..=499 => "4xx",
-            _ => "5xx",
-        };
-        let registry = self.telemetry.registry();
-        registry
-            .counter_with(
-                "olive_http_requests_total",
-                "Requests served, by endpoint and status class.",
-                &[("endpoint", endpoint), ("status", class)],
-            )
-            .inc();
-        registry
-            .histogram_with(
-                "olive_http_request_duration_us",
-                "Wall-clock request service time (read to last byte written), in microseconds.",
-                &latency_buckets_us(),
-                &[("endpoint", endpoint)],
-            )
-            .observe_elapsed(served);
-    }
 }
 
-/// The label value for the `endpoint` dimension: known paths verbatim,
-/// everything else collapsed to `other` so scans cannot explode metric
-/// cardinality.
-fn endpoint_label(path: &str) -> &'static str {
-    match path {
-        "/healthz" => "/healthz",
-        "/metrics" => "/metrics",
-        "/debug/trace" => "/debug/trace",
-        "/v1/schemes" => "/v1/schemes",
-        "/v1/eval" => "/v1/eval",
-        "/v1/generate" => "/v1/generate",
-        "/v1/quantize" => "/v1/quantize",
-        "/shutdown" => "/shutdown",
-        _ => "other",
+impl Service for ServerState {
+    fn core(&self) -> &Core {
+        &self.core
+    }
+
+    fn serve(&self, endpoint: Endpoint, exchange: &mut Exchange<'_>) -> AfterResponse {
+        let request = exchange.request;
+        let span = exchange.scope.span().cloned();
+        let response = match endpoint {
+            Endpoint::Healthz => Response::json(200, self.healthz_body()),
+            Endpoint::Schemes => Response::json(200, self.schemes_body.clone()),
+            Endpoint::Eval => match decode_body(request, EvalRequest::decode) {
+                Ok(req) => self.batcher.submit(Job::Eval(req), span),
+                Err(response) => response,
+            },
+            Endpoint::Generate => match decode_body(request, GenerateRequest::decode) {
+                Ok(req) => match self.scheduler.submit(req, span) {
+                    Ok(events) => return stream_response(exchange, &events),
+                    Err(response) => response,
+                },
+                Err(response) => response,
+            },
+            Endpoint::Quantize => match decode_body(request, QuantizeRequest::decode) {
+                Ok(req) => self.batcher.submit(Job::Quantize(req), span),
+                Err(response) => response,
+            },
+        };
+        exchange.respond(response)
+    }
+
+    /// Mirrors live sizes (queue depth, cache occupancy) onto their gauges.
+    fn refresh_gauges(&self) {
+        let (prepared, gen_prepared, responses) = self.cache.sizes();
+        self.scrape
+            .queue_depth
+            .set((self.batcher.queue_depth() + self.scheduler.queue_depth()) as u64);
+        self.scrape.cached_models.set(prepared as u64);
+        self.scrape.cached_generators.set(gen_prepared as u64);
+        self.scrape.cached_responses.set(responses as u64);
+        self.scrape
+            .cached_artifacts
+            .set(self.cache.artifacts_loaded());
+    }
+
+    fn stop(&self) {
+        self.batcher.shutdown();
+        self.scheduler.shutdown();
     }
 }
 
@@ -212,8 +197,7 @@ fn endpoint_label(path: &str) -> &'static str {
 /// the accept thread running for the life of the process; tests and
 /// embedders should shut down explicitly.
 pub struct Server {
-    state: Arc<ServerState>,
-    accept_handle: Mutex<Option<JoinHandle<()>>>,
+    daemon: Daemon<ServerState>,
 }
 
 impl Server {
@@ -225,10 +209,14 @@ impl Server {
     /// Propagates the bind failure (address in use, permission, …) and
     /// trace-log open failures.
     pub fn start(config: ServeConfig) -> std::io::Result<Server> {
-        let telemetry = Telemetry::new(&config.telemetry)?;
-        let listener = TcpListener::bind(&config.addr)?;
-        let local_addr = listener.local_addr()?;
-        let cache = Arc::new(ModelCache::with_artifact_dir(config.artifact_dir.clone()));
+        let (core, listener) = Core::bind(
+            &PROFILE,
+            &config.addr,
+            &config.telemetry,
+            config.allow_shutdown,
+        )?;
+        let telemetry = core.telemetry().clone();
+        let cache = Arc::new(ModelCache::with_artifact_dir(config.artifact_dir));
         let registry = telemetry.registry();
         let scrape = ScrapeGauges {
             queue_depth: registry.gauge(
@@ -252,389 +240,129 @@ impl Server {
                 "Model snapshots cold-started from the artifact directory.",
             ),
         };
-        let connections = registry.counter(
-            "olive_connections_accepted_total",
-            "TCP connections accepted since startup.",
-        );
-        let state = Arc::new(ServerState {
-            batcher: Batcher::start(config.batch.clone(), Arc::clone(&cache), telemetry.clone()),
-            scheduler: DecodeScheduler::start(
-                config.sched.clone(),
-                Arc::clone(&cache),
-                telemetry.clone(),
-            ),
+        let state = ServerState {
+            batcher: Batcher::start(config.batch, Arc::clone(&cache), telemetry.clone()),
+            scheduler: DecodeScheduler::start(config.sched, Arc::clone(&cache), telemetry),
             cache,
-            telemetry,
             schemes_body: render_schemes_body(),
-            shutdown: AtomicBool::new(false),
-            connections,
             scrape,
-            local_addr,
-            config,
-        });
-        let accept_state = Arc::clone(&state);
-        let accept_handle = std::thread::Builder::new()
-            .name("olive-serve-accept".into())
-            .spawn(move || accept_loop(&listener, &accept_state))?;
+            core,
+        };
         Ok(Server {
-            state,
-            accept_handle: Mutex::new(Some(accept_handle)),
+            daemon: Daemon::start(listener, state)?,
         })
     }
 
     /// The bound address (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.state.local_addr
+        self.daemon.core().local_addr()
     }
 
     /// `http://host:port` of the bound address.
     pub fn url(&self) -> String {
-        format!("http://{}", self.state.local_addr)
+        self.daemon.core().url()
     }
 
     /// True once shutdown has been requested (via [`Server::shutdown`] or
     /// `POST /shutdown`).
     pub fn shutdown_requested(&self) -> bool {
-        self.state.shutdown.load(Ordering::SeqCst)
+        self.daemon.core().shutdown_requested()
     }
 
     /// Blocks until shutdown is requested, then tears the server down:
     /// stops accepting, drains queued requests, joins the worker threads.
     /// The daemon binary's main loop.
     pub fn wait(&self) {
-        if let Some(handle) = lock_or_recover(&self.accept_handle).take() {
-            let _ = handle.join();
-        }
-        self.state.batcher.shutdown();
-        self.state.scheduler.shutdown();
+        self.daemon.wait();
     }
 
     /// Requests shutdown and waits for it to complete. Idempotent.
     pub fn shutdown(&self) {
-        request_shutdown(&self.state);
-        self.wait();
-    }
-}
-
-/// Flags shutdown and pokes the listener so the accept loop observes it.
-fn request_shutdown(state: &ServerState) {
-    if state.shutdown.swap(true, Ordering::SeqCst) {
-        return;
-    }
-    // Wake the blocking accept with a throwaway connection.
-    let _ = TcpStream::connect(state.local_addr);
-}
-
-fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>) {
-    for stream in listener.incoming() {
-        if state.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let Ok(stream) = stream else { continue };
-        state.connections.inc();
-        let state = Arc::clone(state);
-        // Connection threads are detached: they exit on their own via
-        // keep-alive idle polling once shutdown is flagged.
-        let _ = std::thread::Builder::new()
-            .name("olive-serve-conn".into())
-            .spawn(move || handle_connection(stream, &state));
-    }
-}
-
-fn handle_connection(stream: TcpStream, state: &ServerState) {
-    // The read timeout doubles as the shutdown-polling tick; NODELAY because
-    // request/response exchanges are small and latency-bound.
-    if stream.set_read_timeout(Some(IDLE_TIMEOUT)).is_err() || stream.set_nodelay(true).is_err() {
-        return;
-    }
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
-    let mut writer = stream;
-    let mut idle_ticks = 0u32;
-    loop {
-        match read_request(&mut reader) {
-            ReadOutcome::Disconnected => return,
-            ReadOutcome::Idle => {
-                idle_ticks += 1;
-                if idle_ticks >= MAX_IDLE_TICKS || state.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            ReadOutcome::Bad(error) => {
-                // Protocol violations close the connection: framing is gone.
-                let _ = Response::error(error.status, &error.message).write_to(&mut writer, false);
-                return;
-            }
-            ReadOutcome::Request(request) => {
-                idle_ticks = 0;
-                let endpoint = endpoint_label(&request.path);
-                let served = state.telemetry.stopwatch();
-                // The router stamps the trace header; a worker reached
-                // directly generates its own id. Either way the id is echoed
-                // back so the client can correlate with /debug/trace.
-                let tracer = state.telemetry.tracer();
-                let trace_id = match request.header(TRACE_HEADER) {
-                    Some(id) => Some(id.to_string()),
-                    None => tracer.enabled().then(|| tracer.new_trace_id()),
-                };
-                let span = trace_id.as_deref().and_then(|id| tracer.span(id, endpoint));
-                if let Some(span) = &span {
-                    span.event("accepted");
-                }
-                let trace_headers: Vec<(String, String)> = trace_id
-                    .iter()
-                    .map(|id| (TRACE_HEADER.to_string(), id.clone()))
-                    .collect();
-                match route(&request, state, &span) {
-                    Routed::Unary {
-                        mut response,
-                        shutdown,
-                    } => {
-                        let keep_alive = request.keep_alive()
-                            && !shutdown
-                            && !state.shutdown.load(Ordering::SeqCst);
-                        for (name, value) in &trace_headers {
-                            response = response.with_header(name, value);
-                        }
-                        // Telemetry commits before the reply is on the wire:
-                        // a client that saw a complete response must also see
-                        // it counted in /metrics and traced in /debug/trace.
-                        state.record_request(endpoint, response.status, &served);
-                        if let Some(span) = &span {
-                            span.finish();
-                        }
-                        // The response must be on the wire before shutdown is
-                        // triggered: once the accept loop unblocks, the
-                        // process may exit while this (detached) thread is
-                        // still writing.
-                        let write_result = response.write_to(&mut writer, keep_alive);
-                        if shutdown {
-                            request_shutdown(state);
-                        }
-                        if write_result.is_err() || !keep_alive {
-                            return;
-                        }
-                    }
-                    Routed::Stream(events) => {
-                        let keep_alive =
-                            request.keep_alive() && !state.shutdown.load(Ordering::SeqCst);
-                        let outcome = stream_response(
-                            &mut writer,
-                            &events,
-                            keep_alive,
-                            &trace_headers,
-                            state,
-                            endpoint,
-                            &served,
-                            span.as_deref(),
-                        );
-                        // Backstop for the early-write-error paths, where
-                        // stream_response never reached a terminal event;
-                        // a no-op when the span was already finished there.
-                        if let Some(span) = &span {
-                            span.finish();
-                        }
-                        match outcome {
-                            Ok(true) if keep_alive => {}
-                            // Framing gone (truncated stream) or client asked
-                            // to close: the connection cannot be reused.
-                            _ => return,
-                        }
-                    }
-                }
-            }
-        }
+        self.daemon.shutdown();
     }
 }
 
 /// Streams a `/v1/generate` reply: the first event decides between a plain
 /// error response and a chunked 200; afterwards every fragment is written as
-/// its own chunk the moment it arrives. Returns `clean`, true only when the
-/// stream terminated cleanly — the connection's framing is intact and
-/// keep-alive reuse is safe.
+/// its own chunk the moment it arrives. The connection stays open only when
+/// the stream terminated cleanly and keep-alive allows it.
 ///
 /// Telemetry (the request counter/latency observation and the span) commits
 /// **before** the terminal write of each arm: a client that saw a complete
 /// response must also see it counted in /metrics and traced in /debug/trace.
-#[allow(clippy::too_many_arguments)]
 fn stream_response(
-    writer: &mut TcpStream,
+    exchange: &mut Exchange<'_>,
     events: &mpsc::Receiver<StreamEvent>,
-    keep_alive: bool,
-    extra_headers: &[(String, String)],
-    state: &ServerState,
-    endpoint: &str,
-    served: &Stopwatch,
-    span: Option<&Span>,
-) -> std::io::Result<bool> {
-    let finalize = |status: u16| {
-        state.record_request(endpoint, status, served);
-        if let Some(span) = span {
-            span.finish();
+) -> AfterResponse {
+    let keep_alive = exchange.keep_alive();
+    let clean = match events.recv() {
+        Ok(StreamEvent::Failed(response)) => return exchange.respond(response),
+        Ok(first) => relay_chunks(exchange, events, first, keep_alive),
+        // A worker that died before any event is a plain 500.
+        Err(_) => {
+            exchange.finish(500);
+            let _ = Response::error(500, "decode worker terminated unexpectedly")
+                .write_to(exchange.writer, false);
+            return AfterResponse::Close;
         }
     };
-    match events.recv() {
-        Ok(StreamEvent::Failed(mut response)) => {
-            for (name, value) in extra_headers {
-                response = response.with_header(name, value);
+    // Backstop for the early-write-error paths, where relay_chunks never
+    // reached a terminal event; a no-op when the span was already finished.
+    if let Some(span) = exchange.scope.span() {
+        span.finish();
+    }
+    // Framing gone (truncated stream) or client asked to close: the
+    // connection cannot be reused.
+    AfterResponse::keep_alive_if(keep_alive && matches!(clean, Ok(true)))
+}
+
+/// Writes the chunked 200 starting at `first` (a chunk, or `Done` for an
+/// empty stream — still a well-formed chunked body) and relays every later
+/// fragment as its own chunk. Returns true only when the stream terminated
+/// cleanly: the connection's framing is intact.
+fn relay_chunks(
+    exchange: &mut Exchange<'_>,
+    events: &mpsc::Receiver<StreamEvent>,
+    first: StreamEvent,
+    keep_alive: bool,
+) -> std::io::Result<bool> {
+    write_chunked_head_with(exchange.writer, 200, keep_alive, &exchange.scope.headers())?;
+    if let (StreamEvent::Chunk(_), Some(span)) = (&first, exchange.scope.span()) {
+        span.event("first-byte");
+    }
+    let mut event = Ok(first);
+    loop {
+        match event {
+            Ok(StreamEvent::Chunk(data)) => write_chunk(exchange.writer, &data)?,
+            Ok(StreamEvent::Done) => {
+                exchange.finish(200);
+                write_last_chunk(exchange.writer)?;
+                return Ok(true);
             }
-            finalize(response.status);
-            response.write_to(writer, keep_alive)?;
-            Ok(true)
-        }
-        Ok(StreamEvent::Chunk(first)) => {
-            write_chunked_head_with(writer, 200, keep_alive, extra_headers)?;
-            if let Some(span) = span {
-                span.event("first-byte");
-            }
-            write_chunk(writer, &first)?;
-            loop {
-                match events.recv() {
-                    Ok(StreamEvent::Chunk(data)) => write_chunk(writer, &data)?,
-                    Ok(StreamEvent::Done) => {
-                        finalize(200);
-                        write_last_chunk(writer)?;
-                        return Ok(true);
-                    }
-                    // A mid-stream failure (worker panic) truncates the body
-                    // without the terminating chunk: the client sees a hard
-                    // framing error, never a complete-looking answer.
-                    Ok(StreamEvent::Failed(_)) | Err(_) => {
-                        finalize(200);
-                        return Ok(false);
-                    }
-                }
+            // A mid-stream failure (worker panic) truncates the body without
+            // the terminating chunk: the client sees a hard framing error,
+            // never a complete-looking answer.
+            Ok(StreamEvent::Failed(_)) | Err(_) => {
+                exchange.finish(200);
+                return Ok(false);
             }
         }
-        // An empty stream (nothing produced) is still a well-formed chunked
-        // body; and a worker that died before any event is a plain 500.
-        Ok(StreamEvent::Done) => {
-            finalize(200);
-            write_chunked_head_with(writer, 200, keep_alive, extra_headers)?;
-            write_last_chunk(writer)?;
-            Ok(true)
-        }
-        Err(_) => {
-            finalize(500);
-            Response::error(500, "decode worker terminated unexpectedly")
-                .write_to(writer, false)?;
-            Ok(false)
-        }
+        event = events.recv();
     }
 }
 
-/// A routed outcome: either a complete response (plus whether server
-/// shutdown must be triggered after it has been written out), or a stream of
-/// events to relay as chunked transfer-encoding.
-enum Routed {
-    Unary { response: Response, shutdown: bool },
-    Stream(mpsc::Receiver<StreamEvent>),
-}
-
-impl From<Response> for Routed {
-    fn from(response: Response) -> Self {
-        Routed::Unary {
-            response,
-            shutdown: false,
-        }
-    }
-}
-
-fn route(request: &Request, state: &ServerState, span: &Option<Arc<Span>>) -> Routed {
-    match (request.method.as_str(), request.path.as_str()) {
-        ("GET", "/healthz") => Response::json(200, state.healthz_body()).into(),
-        ("GET", "/metrics") => {
-            state.refresh_gauges();
-            Response::text(200, state.telemetry.registry().render()).into()
-        }
-        ("GET", "/debug/trace") => {
-            let n = request
-                .query_param("n")
-                .and_then(|v| v.parse::<usize>().ok())
-                .unwrap_or(32);
-            let traces: Vec<String> = state
-                .telemetry
-                .tracer()
-                .recent(n)
-                .iter()
-                .map(olive_telemetry::TraceRecord::to_json)
-                .collect();
-            Response::json(200, format!("{{\"traces\": [{}]}}", traces.join(", "))).into()
-        }
-        ("GET", "/v1/schemes") => Response::json(200, state.schemes_body.clone()).into(),
-        ("POST", "/v1/eval") => match decode_body(request)
-            .and_then(|v| EvalRequest::decode(&v).map_err(|e| Response::error(400, &e.0)))
-        {
-            Ok(req) => state.batcher.submit(Job::Eval(req), span.clone()).into(),
-            Err(response) => response.into(),
-        },
-        ("POST", "/v1/generate") => match decode_body(request)
-            .and_then(|v| GenerateRequest::decode(&v).map_err(|e| Response::error(400, &e.0)))
-        {
-            Ok(req) => match state.scheduler.submit(req, span.clone()) {
-                Ok(events) => Routed::Stream(events),
-                Err(response) => response.into(),
-            },
-            Err(response) => response.into(),
-        },
-        ("POST", "/v1/quantize") => match decode_body(request)
-            .and_then(|v| QuantizeRequest::decode(&v).map_err(|e| Response::error(400, &e.0)))
-        {
-            Ok(req) => state
-                .batcher
-                .submit(Job::Quantize(req), span.clone())
-                .into(),
-            Err(response) => response.into(),
-        },
-        ("POST", "/shutdown") => {
-            if state.config.allow_shutdown {
-                Routed::Unary {
-                    response: Response::json(
-                        200,
-                        JsonValue::object(vec![("status", JsonValue::Str("shutting down".into()))])
-                            .render(),
-                    ),
-                    shutdown: true,
-                }
-            } else {
-                Response::error(
-                    403,
-                    "shutdown over HTTP is disabled (start with --allow-shutdown)",
-                )
-                .into()
-            }
-        }
-        // Known path, wrong method.
-        (_, "/healthz" | "/metrics" | "/debug/trace" | "/v1/schemes") => {
-            Response::error(405, "use GET")
-                .with_header("Allow", "GET")
-                .into()
-        }
-        (_, "/v1/eval" | "/v1/generate" | "/v1/quantize" | "/shutdown") => {
-            Response::error(405, "use POST")
-                .with_header("Allow", "POST")
-                .into()
-        }
-        (_, path) => Response::error(
-            404,
-            &format!(
-                "no such endpoint '{path}' (have: GET /healthz, GET /metrics, \
-                 GET /v1/schemes, POST /v1/eval, POST /v1/generate, POST /v1/quantize)"
-            ),
-        )
-        .into(),
-    }
-}
-
-/// Parses a request body as JSON, mapping failures to 400 responses.
-fn decode_body(request: &Request) -> Result<JsonValue, Response> {
+/// Parses a request body as JSON and decodes it, mapping failures to 400
+/// responses.
+fn decode_body<T>(
+    request: &Request,
+    decode: fn(&JsonValue) -> Result<T, DecodeError>,
+) -> Result<T, Response> {
     let text = request
         .body_utf8()
         .map_err(|e| Response::error(e.status, &e.message))?;
     if text.trim().is_empty() {
         return Err(Response::error(400, "expected a JSON request body"));
     }
-    JsonValue::parse(text).map_err(|e| Response::error(400, &e.to_string()))
+    let json = JsonValue::parse(text).map_err(|e| Response::error(400, &e.to_string()))?;
+    decode(&json).map_err(|e| Response::error(400, &e.0))
 }

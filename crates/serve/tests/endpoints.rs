@@ -106,6 +106,11 @@ fn protocol_errors_map_to_specific_statuses() {
     let response = client::get(addr, "/nope").unwrap();
     assert_eq!(response.status, 404);
     assert!(response.body.contains("/v1/eval"), "{}", response.body);
+    assert!(
+        response.body.contains("GET /debug/trace"),
+        "{}",
+        response.body
+    );
     // 405 with Allow.
     let response = client::post_json(addr, "/healthz", "{}").unwrap();
     assert_eq!(response.status, 405);

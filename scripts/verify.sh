@@ -2,8 +2,8 @@
 # Tier-1 verification gate for the OliVe reproduction workspace.
 #
 # Runs entirely offline (the workspace has zero crates.io dependencies; see
-# README.md). Exits non-zero if the build, the test suite, doc tests, or
-# lints fail.
+# README.md). Exits non-zero if the build, the test suite, doc tests, the
+# smoke scripts, the perfbench build and tests, or lints fail.
 #
 # Lint-tool availability: locally a missing clippy/rustfmt is soft-skipped so
 # minimal toolchains can still verify; in CI (the CI env variable is set, as
@@ -53,6 +53,13 @@ scripts/serve_smoke.sh
 # identical to a single worker — including across a kill -9 of one worker.
 echo "== scripts/router_smoke.sh =="
 scripts/router_smoke.sh
+
+# perfbench/ is its own Cargo workspace (the serving benchmark), so nothing
+# above compiles it. Build and test it here: a change to the serving API
+# (Server, RouterConfig, olive_serve::http, ...) must not break the benchmark
+# without a failing check.
+echo "== cargo test --release --offline -q --manifest-path perfbench/Cargo.toml =="
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 
 if cargo clippy --version >/dev/null 2>&1; then
     echo "== cargo clippy --workspace --all-targets -- -D warnings =="
